@@ -174,119 +174,65 @@ var dohResolvers = map[string]bool{
 // digests last, so the cheapest positive encoding wins ties.
 var encodingOrder = []Encoding{EncPlain, EncEscaped, EncBase64, EncBase64URL, EncHex, EncMD5, EncSHA1, EncSHA256}
 
-// needle is the interned, engine-resident form of one searched value:
-// its pattern IDs in the shared automaton, ordered by encodingOrder, so
-// the first ID a scan reports maps to the same encoding the old
-// first-Contains-wins loop would have picked.
-type needle struct {
-	pids []int
-	encs []Encoding
-}
-
-// match resolves a scanned flow against the needle: the first matched
-// pattern ID in priority order names the winning encoding.
-func (n *needle) match(ms *match.MatchSet) (Encoding, bool) {
-	for i, id := range n.pids {
-		if ms.Has(id) {
-			return n.encs[i], true
-		}
-	}
-	return "", false
-}
-
 // visitNeedles caches everything derivable from one VisitURL: the
-// parse outcome, the hostname, and the interned needles for the full
-// URL and (when the host has at least two labels) the bare domain.
+// parse outcome, the hostname, and an automaton over the searchable
+// representations of the full URL and (when the host has at least two
+// labels) the bare domain. Pattern IDs run in priority order — the full
+// URL's representations in encodingOrder, then the domain's — so the
+// lowest matched ID names the finding the original
+// first-Contains-wins loop would have reported.
 type visitNeedles struct {
-	ok   bool
-	host string
-	full *needle
-	dom  *needle
+	ok    bool
+	host  string
+	ac    *match.Automaton
+	encs  []Encoding // per pattern ID
+	nFull int        // IDs below nFull are full-URL representations
 }
 
 // Detector finds history leaks in a native-flow store. Beyond the
-// encoding-set knob it owns the shared match engine: every value ever
-// searched (visit URLs and hostnames under all their encodings) is
-// interned once into a single Aho-Corasick pattern set, so scanning a
-// flow is one automaton pass regardless of how many visits are active.
+// encoding-set knob it caches one compiled automaton per visit URL:
+// a flow is only ever searched for its own visit, so scanning it is one
+// pass of a small automaton that never changes once built.
 type Detector struct {
 	Encodings EncodingSet
 
-	once    sync.Once
-	pats    *match.PatternSet
-	mu      sync.Mutex
-	needles map[string]*needle
-	visits  map[string]*visitNeedles
+	visits sync.Map // VisitURL → *visitNeedles
 }
 
 // NewDetector builds a detector with the full encoding set.
 func NewDetector() *Detector { return &Detector{Encodings: AllEncodings()} }
 
-// engine lazily initialises the interning state so struct-literal
-// detectors (common in tests and call sites that only set Encodings)
-// keep working.
-func (d *Detector) engine() *match.PatternSet {
-	d.once.Do(func() {
-		d.pats = match.NewPatternSet("leak")
-		d.needles = make(map[string]*needle)
-		d.visits = make(map[string]*visitNeedles)
-	})
-	return d.pats
-}
-
-// needleFor interns the searchable representations of a value — the
-// digest and Base64 computation that used to run per scanner now runs
-// once per distinct value per detector.
-func (d *Detector) needleFor(value string) *needle {
-	d.engine()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n, ok := d.needles[value]; ok {
-		return n
-	}
-	reps := representations(value, d.Encodings)
-	n := &needle{}
-	for _, enc := range encodingOrder {
-		for _, rep := range reps[enc] {
-			if id := d.pats.Add(rep); id >= 0 {
-				n.pids = append(n.pids, id)
-				n.encs = append(n.encs, enc)
-			}
-		}
-	}
-	d.needles[value] = n
-	return n
-}
-
 // visitFor returns the cached per-visit scan inputs, parsing and
-// interning on first sight of a VisitURL.
+// compiling on first sight of a VisitURL.
 func (d *Detector) visitFor(visitURL string) *visitNeedles {
-	d.engine()
-	d.mu.Lock()
-	v, ok := d.visits[visitURL]
-	d.mu.Unlock()
-	if ok {
-		return v
+	if v, ok := d.visits.Load(visitURL); ok {
+		return v.(*visitNeedles)
 	}
-	v = &visitNeedles{}
+	v := &visitNeedles{}
 	if vu, err := url.Parse(visitURL); err == nil {
 		v.ok = true
 		v.host = vu.Hostname()
-		v.full = d.needleFor(visitURL)
+		var pats []string
+		add := func(value string) {
+			reps := representations(value, d.Encodings)
+			for _, enc := range encodingOrder {
+				for _, rep := range reps[enc] {
+					pats = append(pats, rep)
+					v.encs = append(v.encs, enc)
+				}
+			}
+		}
+		add(visitURL)
+		v.nFull = len(pats)
 		// Domain-only detection requires a host of at least two labels
 		// to avoid noise, mirroring the original Contains(".") gate.
 		if strings.Contains(v.host, ".") {
-			v.dom = d.needleFor(v.host)
+			add(v.host)
 		}
+		v.ac = match.Compile(pats)
 	}
-	d.mu.Lock()
-	if prev, ok := d.visits[visitURL]; ok {
-		v = prev
-	} else {
-		d.visits[visitURL] = v
-	}
-	d.mu.Unlock()
-	return v
+	actual, _ := d.visits.LoadOrStore(visitURL, v)
+	return actual.(*visitNeedles)
 }
 
 // Scan inspects every flow that occurred during a visit and reports
@@ -301,15 +247,7 @@ func (d *Detector) visitFor(visitURL string) *visitNeedles {
 // flow set regardless of insertion order.
 func (d *Detector) Scan(native *capture.Store) []Finding {
 	s := NewStreamScanner(d, "")
-	flows := native.All()
-	// Prime every visit's needles before the first scan so the engine
-	// compiles once for the whole batch instead of once per new visit.
-	for _, f := range flows {
-		if f.VisitURL != "" {
-			d.visitFor(f.VisitURL)
-		}
-	}
-	for _, f := range flows {
+	for _, f := range native.All() {
 		s.observe(f)
 	}
 	return s.Findings()

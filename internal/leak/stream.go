@@ -1,6 +1,7 @@
 package leak
 
 import (
+	"slices"
 	"sync"
 
 	"panoptes/internal/capture"
@@ -17,11 +18,10 @@ type scanEntry struct {
 // StreamScanner is the incremental form of the history-leak scan: each
 // committed flow is searched as it arrives and the finding (at most
 // one per flow) folded into the running set. The search itself is a
-// single pass of the detector's shared Aho-Corasick engine over the
-// flow haystack — every active visit's representations are interned
-// into one automaton, so per-flow cost no longer grows with the number
-// of concurrent visits. Implements pipeline.Analyzer (plus Seal and
-// Reset).
+// single pass over the flow haystack of the Aho-Corasick automaton the
+// detector compiled for the flow's own visit, so per-flow cost does not
+// grow with the number of concurrent visits. Implements
+// pipeline.Analyzer (plus Seal and Reset).
 type StreamScanner struct {
 	det    *Detector
 	origin capture.Origin // filter for tap-driven use; "" scans every flow
@@ -59,12 +59,11 @@ func (s *StreamScanner) observe(f *capture.Flow) {
 	s.j.Note(f.Attempt, func() { e.live = false })
 }
 
-// scanOne runs the per-flow leak search (interning, automaton compile
-// and the scan itself all happen outside the state lock). The haystack
-// is built in a pooled buffer and searched in one automaton pass; the
-// matched pattern IDs then resolve against the visit's needles in
-// priority order, reproducing the original search exactly: full URL
-// before domain-only, cheapest encoding first.
+// scanOne runs the per-flow leak search outside the state lock. The
+// haystack is built in a pooled buffer and searched in one pass of the
+// visit's own automaton; the lowest matched pattern ID names the
+// finding, reproducing the original search exactly: full URL before
+// domain-only, cheapest encoding first.
 func (s *StreamScanner) scanOne(f *capture.Flow) (Finding, bool) {
 	if f.VisitURL == "" {
 		return Finding{}, false
@@ -88,26 +87,20 @@ func (s *StreamScanner) scanOne(f *capture.Flow) (Finding, bool) {
 	buf := haystackPool.Get(len(f.Path) + 2*len(f.RawQuery) + 2*len(f.Body) + 5)
 	defer haystackPool.Put(buf)
 	writeHaystack(buf, f)
-	ms := s.det.pats.Scan(buf.Bytes())
+	ms := v.ac.Scan(buf.Bytes())
 	defer ms.Release()
-
-	if enc, ok := v.full.match(ms); ok {
-		return Finding{
-			Browser: f.Browser, Host: f.Host, Kind: KindFullURL,
-			Encoding: enc, VisitURL: f.VisitURL, Incognito: f.Incognito, FlowID: f.ID,
-		}, true
+	if len(ms.IDs()) == 0 {
+		return Finding{}, false
 	}
-	// Domain-only: the visited hostname appears but the full URL does
-	// not (dom is nil for single-label hosts).
-	if v.dom != nil {
-		if enc, ok := v.dom.match(ms); ok {
-			return Finding{
-				Browser: f.Browser, Host: f.Host, Kind: KindDomainOnly,
-				Encoding: enc, VisitURL: f.VisitURL, Incognito: f.Incognito, FlowID: f.ID,
-			}, true
-		}
+	id := slices.Min(ms.IDs())
+	kind := KindFullURL
+	if id >= v.nFull {
+		kind = KindDomainOnly
 	}
-	return Finding{}, false
+	return Finding{
+		Browser: f.Browser, Host: f.Host, Kind: kind,
+		Encoding: v.encs[id], VisitURL: f.VisitURL, Incognito: f.Incognito, FlowID: f.ID,
+	}, true
 }
 
 // Retract undoes the attempt's findings.
@@ -124,9 +117,9 @@ func (s *StreamScanner) Seal(attempt int64) {
 	s.j.Seal(attempt)
 }
 
-// Reset drops all findings and undo state. The detector's interned
-// needles and compiled automaton survive: they are a pure function of
-// the values searched so far and stay valid across campaigns.
+// Reset drops all findings and undo state. The detector's per-visit
+// automata survive: each is a pure function of its visit URL and stays
+// valid across campaigns.
 func (s *StreamScanner) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

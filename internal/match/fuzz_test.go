@@ -2,7 +2,6 @@ package match
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -13,49 +12,32 @@ import (
 // the automaton's matched-ID set must equal a naive strings.Contains
 // sweep. The input encodes patterns and the haystack in one byte
 // stream: 0xFF-separated chunks, first chunk is the haystack, the rest
-// are patterns. Patterns are added in two batches with a scan between
-// them, so the fuzz also crosses the stable/recent tier seam.
+// are patterns. Duplicate patterns are kept: each must report its own
+// ID.
 func FuzzMatchVsNaive(f *testing.F) {
 	f.Add([]byte("ushers\xffhe\xffshe\xffhis\xffhers"))
 	f.Add([]byte("https://a.example/p?q=1\xffa.example\xffhttps://a.example/p?q=1\xff70a1"))
 	f.Add([]byte("aaaaaaaa\xffa\xffaa\xffaaa\xffaaaa"))
 	f.Add([]byte("\x00\x01\x02\xff\x00\x01\xff\x02"))
 	f.Add([]byte("plain body with dGVzdA== inside\xffdGVzdA==\xff74657374"))
+	f.Add([]byte("abab\xffab\xffb\xffab"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		chunks := bytes.Split(data, []byte{0xFF})
 		hay := chunks[0]
 		var pats []string
-		seen := map[string]bool{}
 		for _, c := range chunks[1:] {
-			if len(c) == 0 || len(c) > 64 || seen[string(c)] {
+			if len(c) == 0 || len(c) > 64 {
 				continue
 			}
-			seen[string(c)] = true
 			pats = append(pats, string(c))
 			if len(pats) == 32 {
 				break
 			}
 		}
 
-		old := promoteAt
-		promoteAt = 8 // cross the tier seam even for small sets
-		defer func() { promoteAt = old }()
-
-		ps := NewPatternSet(fmt.Sprintf("fuzz-%d", len(pats)))
-		half := len(pats) / 2
-		for i := 0; i < half; i++ {
-			if id := ps.Add(pats[i]); id != i {
-				t.Fatalf("Add(%q) = %d, want %d", pats[i], id, i)
-			}
-		}
-		ps.Scan(hay).Release() // force an interim compile
-		for i := half; i < len(pats); i++ {
-			ps.Add(pats[i])
-		}
-
-		ms := ps.Scan(hay)
+		ms := Compile(pats).Scan(hay)
 		defer ms.Release()
 		got := append([]int(nil), ms.IDs()...)
 		sort.Ints(got)

@@ -1,23 +1,12 @@
 // Package match is Panoptes' deterministic multi-pattern matching
 // engine: the single-pass core of the capture→analysis hot path. The
-// leak detector's needle population grows with every active visit —
-// each visit URL and hostname expands into up to ten searchable
-// representations (plain, escaped, two Base64 alphabets, hex, three
-// digests) — and the pre-engine scanners paid one strings.Contains
-// pass per needle per flow. A PatternSet compiles the needles into an
-// Aho-Corasick automaton instead, so every flow haystack is scanned in
-// one pass regardless of how many patterns are registered, with
-// byte-exact (case-sensitive) semantics identical to substring search.
-//
-// Patterns are added incrementally under a generation counter. Because
-// classic Aho-Corasick cannot extend a compiled automaton, the set
-// keeps two tiers: a large stable automaton rebuilt geometrically
-// rarely, and a small recent automaton covering the patterns added
-// since the last promotion, rebuilt cheaply whenever the generation
-// moves. A scan walks both (still O(haystack) total) and reports the
-// union; amortised compile cost stays near O(total pattern bytes ×
-// log patterns) instead of the quadratic cost of recompiling the full
-// set on every add.
+// leak detector searches every flow for up to twenty representations
+// of its visit (the URL and hostname, each plain, escaped, in two
+// Base64 alphabets, hex and three digests); Compile turns such a
+// pattern list into an immutable Aho-Corasick automaton, so the flow
+// haystack is scanned in one pass regardless of how many patterns it
+// carries, with byte-exact (case-sensitive) semantics identical to
+// substring search.
 //
 // The package also provides Dict, an exact-match keyword dictionary
 // with optional ASCII case folding, used by internal/pii to dispatch a
@@ -25,322 +14,146 @@
 // of one anchored regexp match per detector.
 package match
 
-import (
-	"slices"
-	"sync"
-	"time"
+import "sync"
 
-	"panoptes/internal/obs"
-)
-
-func init() {
-	obs.Default.Help("match_automaton_rebuilds_total", "Aho-Corasick automaton compilations by pattern set and tier (stable promotions vs cheap recent-tier rebuilds).")
-	obs.Default.Help("match_scan_ns", "Single-pass multi-pattern scan latency in nanoseconds, by pattern set.")
-	obs.Default.Help("match_patterns", "Patterns currently registered in each pattern set.")
-}
-
-// scanBuckets span 0.25µs .. ~4ms in nanoseconds, the plausible range
-// for one flow-haystack pass.
-var scanBuckets = obs.ExponentialBuckets(250, 4, 8)
-
-// promoteAt is the recent-tier size (in patterns) that triggers a full
-// stable recompilation. ~64 visits' worth of leak needles: large enough
-// to amortise stable rebuilds, small enough that the recent tier stays
-// a trivial compile. Variable, not const, so tests can exercise
-// promotion without registering thousands of patterns.
-var promoteAt = 768
-
-// PatternSet is an incrementally growable set of byte-exact patterns,
-// each identified by a dense integer ID (its registration order).
-// Add, Scan and the accessors are safe for concurrent use.
-type PatternSet struct {
-	name string
-
-	mu   sync.RWMutex
-	ids  map[string]int
-	pats []string
-	gen  uint64
-
-	compiledGen uint64
-	stable      *Automaton // patterns [0, stableN)
-	recent      *Automaton // patterns [stableN, len(pats)) since last promotion
-	stableN     int
-
-	pool sync.Pool // *MatchSet
-
-	rebuildStable *obs.Counter
-	rebuildRecent *obs.Counter
-	scanNS        *obs.Histogram
-	gauge         *obs.Gauge
-}
-
-// NewPatternSet returns an empty set. The name labels the set's obs
-// series (match_automaton_rebuilds_total, match_scan_ns).
-func NewPatternSet(name string) *PatternSet {
-	ps := &PatternSet{
-		name:          name,
-		ids:           make(map[string]int),
-		rebuildStable: obs.Default.Counter("match_automaton_rebuilds_total", "set", name, "tier", "stable"),
-		rebuildRecent: obs.Default.Counter("match_automaton_rebuilds_total", "set", name, "tier", "recent"),
-		scanNS:        obs.Default.Histogram("match_scan_ns", scanBuckets, "set", name),
-		gauge:         obs.Default.Gauge("match_patterns", "set", name),
-	}
-	ps.pool.New = func() any { return &MatchSet{ps: ps} }
-	return ps
-}
-
-// Add registers a pattern and returns its ID. Registering an existing
-// pattern returns the original ID without bumping the generation; the
-// empty pattern is rejected with -1 (it would match everywhere).
-func (ps *PatternSet) Add(pattern string) int {
-	if pattern == "" {
-		return -1
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if id, ok := ps.ids[pattern]; ok {
-		return id
-	}
-	id := len(ps.pats)
-	ps.ids[pattern] = id
-	ps.pats = append(ps.pats, pattern)
-	ps.gen++
-	ps.gauge.Set(float64(len(ps.pats)))
-	return id
-}
-
-// Len returns the number of registered patterns.
-func (ps *PatternSet) Len() int {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return len(ps.pats)
-}
-
-// Generation returns the add counter; it changes exactly when the
-// pattern population does, so callers can cache derived state.
-func (ps *PatternSet) Generation() uint64 {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return ps.gen
-}
-
-// automata returns the compiled tiers, recompiling whatever the
-// generation counter says is stale: the cheap recent tier on every
-// add-batch, the stable tier only when the recent tier outgrows
-// promoteAt.
-func (ps *PatternSet) automata() (stable, recent *Automaton) {
-	ps.mu.RLock()
-	if ps.compiledGen == ps.gen && (ps.stable != nil || len(ps.pats) == 0) {
-		stable, recent = ps.stable, ps.recent
-		ps.mu.RUnlock()
-		return stable, recent
-	}
-	ps.mu.RUnlock()
-
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.compiledGen != ps.gen || (ps.stable == nil && len(ps.pats) > 0) {
-		if ps.stable == nil || len(ps.pats)-ps.stableN >= promoteAt {
-			ps.stable = compile(ps.pats, 0)
-			ps.stableN = len(ps.pats)
-			ps.recent = nil
-			ps.rebuildStable.Inc()
-		} else {
-			ps.recent = compile(ps.pats[ps.stableN:], ps.stableN)
-			ps.rebuildRecent.Inc()
-		}
-		ps.compiledGen = ps.gen
-	}
-	return ps.stable, ps.recent
-}
-
-// Scan walks the haystack once per compiled tier (at most twice in
-// total, independent of pattern count) and returns the set of pattern
-// IDs that occur in it as substrings. Release the result when done.
-func (ps *PatternSet) Scan(hay []byte) *MatchSet {
-	start := time.Now()
-	stable, recent := ps.automata()
-	ms := ps.pool.Get().(*MatchSet)
-	if stable != nil {
-		stable.scanInto(hay, ms)
-	}
-	if recent != nil {
-		recent.scanInto(hay, ms)
-	}
-	ps.scanNS.Observe(float64(time.Since(start).Nanoseconds()))
-	return ms
-}
-
-// MatchSet is the result of one Scan: constant-time membership over
-// the matched pattern IDs. Not safe for concurrent use.
-type MatchSet struct {
-	ps   *PatternSet
-	seen []bool
-	hits []int
-}
-
-// Has reports whether the pattern with the given ID matched.
-func (m *MatchSet) Has(id int) bool {
-	return id >= 0 && id < len(m.seen) && m.seen[id]
-}
-
-// IDs returns the matched pattern IDs in first-match order. The slice
-// is owned by the MatchSet and dies with Release.
-func (m *MatchSet) IDs() []int { return m.hits }
-
-// Release resets the set and returns it to its PatternSet's pool.
-func (m *MatchSet) Release() {
-	for _, id := range m.hits {
-		m.seen[id] = false
-	}
-	m.hits = m.hits[:0]
-	m.ps.pool.Put(m)
-}
-
-// mark records a matched global pattern ID, deduplicating repeats.
-func (m *MatchSet) mark(id int) {
-	if id >= len(m.seen) {
-		grown := make([]bool, id+1)
-		copy(grown, m.seen)
-		m.seen = grown
-	}
-	if !m.seen[id] {
-		m.seen[id] = true
-		m.hits = append(m.hits, id)
-	}
-}
-
-// Automaton is one compiled Aho-Corasick tier: an immutable goto/fail
-// trie in CSR form, safe for concurrent scans. Pattern outputs carry
-// the PatternSet's global IDs, so tiers share one MatchSet.
+// Automaton is a compiled Aho-Corasick matcher: an immutable goto/fail
+// trie in CSR form, safe for concurrent scans. Pattern IDs are indices
+// into the list given to Compile.
 type Automaton struct {
 	rootNext [256]int32 // dense root transitions (fail closure built in)
 	lo       []int32    // per-node edge range start; len = nodes+1
 	elab     []byte     // edge labels, sorted per node
 	etgt     []int32    // edge targets
 	fail     []int32
-	out      []int32 // global pattern ID ending at node, or -1
+	out      []int32 // lowest pattern ID ending at node, or -1
+	dup      []int32 // per pattern ID: next ID with the same text, or -1
 	olink    []int32 // nearest terminal proper-suffix node, or 0
 	hasOut   []bool  // out >= 0 || olink != 0
-	patterns int
 }
 
-// Patterns returns how many patterns this tier covers.
-func (a *Automaton) Patterns() int { return a.patterns }
-
-// Nodes returns the trie size (diagnostics and tests).
-func (a *Automaton) Nodes() int { return len(a.fail) }
-
-// compile builds a tier over patterns, assigning output IDs
-// baseID+index. Patterns are assumed deduplicated and non-empty
-// (PatternSet guarantees both).
-func compile(patterns []string, baseID int) *Automaton {
-	type tnode struct {
-		next  map[byte]int32
-		fail  int32
-		out   int32
-		olink int32
+// Compile builds an automaton over patterns; pattern i has ID i.
+// Duplicate patterns each report their own ID; an empty pattern never
+// matches.
+func Compile(patterns []string) *Automaton {
+	// Build the trie with first-child/next-sibling edge lists kept in
+	// label order: no per-node allocation, and the CSR flattening below
+	// reads each node's edges already sorted. The root, where most
+	// fail-link walks end, also gets a dense table from the start.
+	var root [256]int32
+	size := 1 // upper bound on trie nodes
+	for _, p := range patterns {
+		size += len(p)
 	}
-	nodes := []tnode{{out: -1}}
+	child := append(make([]int32, 0, size), -1)
+	sibling := append(make([]int32, 0, size), -1)
+	label := append(make([]byte, 0, size), 0)
+	out := append(make([]int32, 0, size), -1)
+	dup := make([]int32, len(patterns))
+	goTo := func(s int32, c byte) int32 {
+		if s == 0 {
+			if t := root[c]; t != 0 {
+				return t
+			}
+			return -1
+		}
+		for e := child[s]; e >= 0 && label[e] <= c; e = sibling[e] {
+			if label[e] == c {
+				return e
+			}
+		}
+		return -1
+	}
 	for i, p := range patterns {
+		dup[i] = -1
+		if p == "" {
+			continue
+		}
 		s := int32(0)
 		for j := 0; j < len(p); j++ {
 			c := p[j]
-			t, ok := nodes[s].next[c]
-			if !ok {
-				if nodes[s].next == nil {
-					nodes[s].next = make(map[byte]int32, 1)
+			t := goTo(s, c)
+			if t < 0 {
+				t = int32(len(child))
+				child = append(child, -1)
+				sibling = append(sibling, -1)
+				label = append(label, c)
+				out = append(out, -1)
+				prev := &child[s]
+				for *prev >= 0 && label[*prev] < c {
+					prev = &sibling[*prev]
 				}
-				nodes = append(nodes, tnode{out: -1})
-				t = int32(len(nodes) - 1)
-				nodes[s].next[c] = t
+				sibling[t], *prev = *prev, t
+				if s == 0 {
+					root[c] = t
+				}
 			}
 			s = t
 		}
-		nodes[s].out = int32(baseID + i)
-	}
-
-	// edgeKeys lists a node's edge labels in byte order. Iterating the
-	// map's actual keys instead of probing all 256 byte values keeps the
-	// build O(edges log fanout) — the all-bytes probe made compilation
-	// the dominant cost of incremental adds.
-	var ebuf []byte
-	edgeKeys := func(m map[byte]int32) []byte {
-		ebuf = ebuf[:0]
-		for c := range m {
-			ebuf = append(ebuf, c)
+		if out[s] < 0 {
+			out[s] = int32(i)
+			continue
 		}
-		slices.Sort(ebuf)
-		return ebuf
+		last := out[s]
+		for dup[last] >= 0 {
+			last = dup[last]
+		}
+		dup[last] = int32(i)
 	}
 
-	// BFS fail links. Children are visited in byte order for a fully
-	// deterministic build (not required for correctness — fail links are
-	// order-independent within a level — but it keeps the structure
-	// reproducible for tests and debugging).
-	queue := make([]int32, 0, len(nodes))
-	for _, c := range edgeKeys(nodes[0].next) {
-		queue = append(queue, nodes[0].next[c])
+	// BFS fail links, children in byte order so the build is fully
+	// deterministic.
+	n := len(child)
+	fail := make([]int32, n)
+	olink := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for e := child[0]; e >= 0; e = sibling[e] {
+		queue = append(queue, e)
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		fu := nodes[u].fail
-		if nodes[fu].out >= 0 {
-			nodes[u].olink = fu
+		if fu := fail[u]; out[fu] >= 0 {
+			olink[u] = fu
 		} else {
-			nodes[u].olink = nodes[fu].olink
+			olink[u] = olink[fu]
 		}
-		for _, c := range edgeKeys(nodes[u].next) {
-			v := nodes[u].next[c]
-			f := nodes[u].fail
-			for f != 0 {
-				if t, ok := nodes[f].next[c]; ok {
-					f = t
+		for v := child[u]; v >= 0; v = sibling[v] {
+			c := label[v]
+			f := fail[u]
+			for {
+				if t := goTo(f, c); t >= 0 {
+					fail[v] = t
 					break
 				}
-				f = nodes[f].fail
-			}
-			if f == 0 {
-				if t, ok := nodes[0].next[c]; ok && t != v {
-					f = t
+				if f == 0 {
+					break
 				}
+				f = fail[f]
 			}
-			nodes[v].fail = f
 			queue = append(queue, v)
 		}
 	}
 
 	// Flatten to CSR.
 	a := &Automaton{
-		lo:       make([]int32, len(nodes)+1),
-		fail:     make([]int32, len(nodes)),
-		out:      make([]int32, len(nodes)),
-		olink:    make([]int32, len(nodes)),
-		hasOut:   make([]bool, len(nodes)),
-		patterns: len(patterns),
+		rootNext: root,
+		lo:       make([]int32, n+1),
+		elab:     make([]byte, 0, n-1),
+		etgt:     make([]int32, 0, n-1),
+		fail:     fail,
+		out:      out,
+		dup:      dup,
+		olink:    olink,
+		hasOut:   make([]bool, n),
 	}
-	edges := 0
-	for _, n := range nodes {
-		edges += len(n.next)
-	}
-	a.elab = make([]byte, 0, edges)
-	a.etgt = make([]int32, 0, edges)
-	for i := range nodes {
-		n := &nodes[i]
+	for i := 0; i < n; i++ {
 		a.lo[i] = int32(len(a.elab))
-		for _, c := range edgeKeys(n.next) {
-			a.elab = append(a.elab, c)
-			a.etgt = append(a.etgt, n.next[c])
+		for e := child[i]; e >= 0; e = sibling[e] {
+			a.elab = append(a.elab, label[e])
+			a.etgt = append(a.etgt, e)
 		}
-		a.fail[i] = n.fail
-		a.out[i] = n.out
-		a.olink[i] = n.olink
-		a.hasOut[i] = n.out >= 0 || n.olink != 0
+		a.hasOut[i] = out[i] >= 0 || olink[i] != 0
 	}
-	a.lo[len(nodes)] = int32(len(a.elab))
-	for c, t := range nodes[0].next {
-		a.rootNext[c] = t
-	}
+	a.lo[n] = int32(len(a.elab))
 	return a
 }
 
@@ -378,23 +191,61 @@ func (a *Automaton) step(s int32, c byte) int32 {
 	return a.rootNext[c]
 }
 
-// scanInto marks every pattern of this tier occurring in hay.
-func (a *Automaton) scanInto(hay []byte, ms *MatchSet) {
-	if a.patterns == 0 {
-		return
-	}
+// Scan walks the haystack once and returns the set of pattern IDs that
+// occur in it as substrings. Release the result when done.
+func (a *Automaton) Scan(hay []byte) *MatchSet {
+	ms := matchSets.Get().(*MatchSet)
 	s := int32(0)
 	for i := 0; i < len(hay); i++ {
 		s = a.step(s, hay[i])
 		if !a.hasOut[s] {
 			continue
 		}
-		t := s
-		for t != 0 {
-			if id := a.out[t]; id >= 0 {
+		for t := s; t != 0; t = a.olink[t] {
+			for id := a.out[t]; id >= 0; id = a.dup[id] {
 				ms.mark(int(id))
 			}
-			t = a.olink[t]
 		}
+	}
+	return ms
+}
+
+var matchSets = sync.Pool{New: func() any { return new(MatchSet) }}
+
+// MatchSet is the result of one Scan: constant-time membership over
+// the matched pattern IDs. Not safe for concurrent use.
+type MatchSet struct {
+	seen []bool
+	hits []int
+}
+
+// Has reports whether the pattern with the given ID matched.
+func (m *MatchSet) Has(id int) bool {
+	return id >= 0 && id < len(m.seen) && m.seen[id]
+}
+
+// IDs returns the matched pattern IDs in first-match order. The slice
+// is owned by the MatchSet and dies with Release.
+func (m *MatchSet) IDs() []int { return m.hits }
+
+// Release resets the set and returns it to the pool.
+func (m *MatchSet) Release() {
+	for _, id := range m.hits {
+		m.seen[id] = false
+	}
+	m.hits = m.hits[:0]
+	matchSets.Put(m)
+}
+
+// mark records a matched pattern ID, deduplicating repeats.
+func (m *MatchSet) mark(id int) {
+	if id >= len(m.seen) {
+		grown := make([]bool, id+1)
+		copy(grown, m.seen)
+		m.seen = grown
+	}
+	if !m.seen[id] {
+		m.seen[id] = true
+		m.hits = append(m.hits, id)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,9 +29,9 @@ func sortedIDs(ms *MatchSet) []int {
 	return ids
 }
 
-func assertScan(t *testing.T, ps *PatternSet, pats []string, hay string) {
+func assertScan(t *testing.T, a *Automaton, pats []string, hay string) {
 	t.Helper()
-	ms := ps.Scan([]byte(hay))
+	ms := a.Scan([]byte(hay))
 	defer ms.Release()
 	got := sortedIDs(ms)
 	want := naiveMatches(hay, pats)
@@ -48,96 +49,61 @@ func TestClassicOverlaps(t *testing.T) {
 	// The textbook Aho-Corasick set: outputs must surface via suffix
 	// links ("she" ends, so "he" must be reported too).
 	pats := []string{"he", "she", "his", "hers"}
-	ps := NewPatternSet("test-classic")
-	for i, p := range pats {
-		if id := ps.Add(p); id != i {
-			t.Fatalf("Add(%q) = %d, want %d", p, id, i)
-		}
-	}
+	a := Compile(pats)
 	for _, hay := range []string{"ushers", "she", "h", "", "hishershe", "xyz"} {
-		assertScan(t, ps, pats, hay)
+		assertScan(t, a, pats, hay)
 	}
 }
 
-func TestAddDedupAndGeneration(t *testing.T) {
-	ps := NewPatternSet("test-dedup")
-	a := ps.Add("needle")
-	g := ps.Generation()
-	if b := ps.Add("needle"); b != a {
-		t.Fatalf("re-Add returned %d, want %d", b, a)
+func TestDuplicateAndEmptyPatterns(t *testing.T) {
+	ms := Compile(nil).Scan([]byte("anything"))
+	if len(ms.IDs()) != 0 {
+		t.Fatalf("empty automaton matched %v", ms.IDs())
 	}
-	if ps.Generation() != g {
-		t.Fatal("re-Add bumped the generation")
+	ms.Release()
+
+	// Every duplicate reports its own ID; the empty pattern never
+	// matches (it would otherwise match everywhere).
+	pats := []string{"ab", "", "ab", "b", "ab"}
+	ms = Compile(pats).Scan([]byte("xaby"))
+	defer ms.Release()
+	if got := sortedIDs(ms); !reflect.DeepEqual(got, []int{0, 2, 3, 4}) {
+		t.Fatalf("matched %v, want [0 2 3 4]", got)
 	}
-	if ps.Len() != 1 {
-		t.Fatalf("Len = %d", ps.Len())
-	}
-	if id := ps.Add(""); id != -1 {
-		t.Fatalf("empty pattern accepted with id %d", id)
+	if ms.Has(1) {
+		t.Fatal("empty pattern matched")
 	}
 }
 
-func TestIncrementalAddsAcrossTiers(t *testing.T) {
-	// Force tiny promotion windows so the test exercises recent-tier
-	// compiles, promotion, and post-promotion adds.
-	old := promoteAt
-	promoteAt = 4
-	defer func() { promoteAt = old }()
-
-	ps := NewPatternSet("test-tiers")
-	var pats []string
+func TestRandomSetsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alpha := "abcdeABCDE0123/_."
-	for round := 0; round < 50; round++ {
-		n := 1 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			l := 1 + rng.Intn(6)
-			var sb strings.Builder
-			for j := 0; j < l; j++ {
-				sb.WriteByte(alpha[rng.Intn(len(alpha))])
-			}
-			p := sb.String()
-			id := ps.Add(p)
-			if prev := indexOf(pats, p); prev >= 0 {
-				if id != prev {
-					t.Fatalf("dup %q got id %d, want %d", p, id, prev)
-				}
-			} else {
-				if id != len(pats) {
-					t.Fatalf("%q got id %d, want %d", p, id, len(pats))
-				}
-				pats = append(pats, p)
-			}
+	randStr := func(n int) string {
+		var sb strings.Builder
+		for j := 0; j < n; j++ {
+			sb.WriteByte(alpha[rng.Intn(len(alpha))])
 		}
-		var hb strings.Builder
-		for j := 0; j < 40; j++ {
-			hb.WriteByte(alpha[rng.Intn(len(alpha))])
+		return sb.String()
+	}
+	for round := 0; round < 50; round++ {
+		pats := make([]string, 1+rng.Intn(40))
+		for i := range pats {
+			pats[i] = randStr(1 + rng.Intn(6))
 		}
 		// Embed a known pattern so matches actually occur.
-		hay := hb.String() + pats[rng.Intn(len(pats))] + hb.String()
-		assertScan(t, ps, pats, hay)
+		fill := randStr(40)
+		assertScan(t, Compile(pats), pats, fill+pats[rng.Intn(len(pats))]+fill)
 	}
-}
-
-func indexOf(ss []string, s string) int {
-	for i, v := range ss {
-		if v == s {
-			return i
-		}
-	}
-	return -1
 }
 
 func TestMatchSetReuse(t *testing.T) {
-	ps := NewPatternSet("test-reuse")
-	ps.Add("aaa")
-	ps.Add("bbb")
-	ms := ps.Scan([]byte("xxaaaxx"))
+	a := Compile([]string{"aaa", "bbb"})
+	ms := a.Scan([]byte("xxaaaxx"))
 	if !ms.Has(0) || ms.Has(1) {
 		t.Fatalf("first scan: Has(0)=%v Has(1)=%v", ms.Has(0), ms.Has(1))
 	}
 	ms.Release()
-	ms = ps.Scan([]byte("xxbbbxx"))
+	ms = a.Scan([]byte("xxbbbxx"))
 	defer ms.Release()
 	if ms.Has(0) || !ms.Has(1) {
 		t.Fatalf("pooled MatchSet kept stale state: Has(0)=%v Has(1)=%v", ms.Has(0), ms.Has(1))
@@ -150,50 +116,55 @@ func TestMatchSetReuse(t *testing.T) {
 func TestBinaryPatterns(t *testing.T) {
 	// Byte-exact matching: NUL bytes, high bytes, no UTF-8 assumptions.
 	pats := []string{"\x00\x01", "\xff\xfe\xff", "a\x00b"}
-	ps := NewPatternSet("test-binary")
-	for _, p := range pats {
-		ps.Add(p)
-	}
+	a := Compile(pats)
 	for _, hay := range []string{"\x00\x01", "x\xff\xfe\xffy", "a\x00b", "\xff\xfe", "ab"} {
-		assertScan(t, ps, pats, hay)
+		assertScan(t, a, pats, hay)
 	}
 }
 
 func TestCaseSensitivity(t *testing.T) {
-	ps := NewPatternSet("test-case")
-	ps.Add("Needle")
-	ms := ps.Scan([]byte("a needle in a haystack"))
+	a := Compile([]string{"Needle"})
+	ms := a.Scan([]byte("a needle in a haystack"))
 	if len(ms.IDs()) != 0 {
 		t.Fatal("case-sensitive engine matched a lowercase haystack")
 	}
 	ms.Release()
-	ms = ps.Scan([]byte("a Needle in a haystack"))
+	ms = a.Scan([]byte("a Needle in a haystack"))
 	defer ms.Release()
 	if !ms.Has(0) {
 		t.Fatal("exact-case needle missed")
 	}
 }
 
-func TestConcurrentAddAndScan(t *testing.T) {
-	// Smoke for the race detector: concurrent Add + Scan must be safe.
-	ps := NewPatternSet("test-conc")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			ps.Add(fmt.Sprintf("needle-%d|", i))
-		}
-	}()
-	hay := []byte("xx needle-3| yy needle-199| zz")
-	for i := 0; i < 200; i++ {
-		ms := ps.Scan(hay)
-		ms.Release()
+func TestConcurrentScan(t *testing.T) {
+	// One compiled automaton scanned from many goroutines: every scan
+	// must see exactly its own haystack's matches (run under -race).
+	pats := make([]string, 200)
+	for i := range pats {
+		pats[i] = fmt.Sprintf("needle-%d|", i)
 	}
-	<-done
-	ms := ps.Scan(hay)
-	defer ms.Release()
-	if len(ms.IDs()) != 2 {
-		t.Fatalf("final scan found %d needles, want 2", len(ms.IDs()))
+	a := Compile(pats)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := (g*200 + i) % len(pats)
+				hay := []byte("xx " + pats[id] + " yy needle-x| zz")
+				ms := a.Scan(hay)
+				if got := ms.IDs(); len(got) != 1 || got[0] != id {
+					errs <- fmt.Sprintf("goroutine %d scan %d: matched %v, want [%d]", g, i, got, id)
+				}
+				ms.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
 
@@ -251,15 +222,15 @@ func BenchmarkScanScalingPatterns(b *testing.B) {
 	hay := []byte(strings.Repeat("GET /path?q=percent%20encoded&id=deadbeefcafebabe ", 40))
 	for _, n := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("patterns=%d", n), func(b *testing.B) {
-			ps := NewPatternSet(fmt.Sprintf("bench-%d", n))
-			for i := 0; i < n; i++ {
-				ps.Add(fmt.Sprintf("https://site-%04d.example/landing?visit=%d", i, i))
+			pats := make([]string, n)
+			for i := range pats {
+				pats[i] = fmt.Sprintf("https://site-%04d.example/landing?visit=%d", i, i)
 			}
-			ps.Scan(hay).Release() // compile outside the timed region
+			a := Compile(pats)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ps.Scan(hay).Release()
+				a.Scan(hay).Release()
 			}
 		})
 	}

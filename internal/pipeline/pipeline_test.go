@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"panoptes/internal/capture"
+	"panoptes/internal/obs"
 )
 
 // countAnalyzer counts flows per browser with full retract support —
@@ -165,5 +166,70 @@ func TestConcurrentObserveRetract(t *testing.T) {
 	}
 	if a.j.Open() != 0 {
 		t.Fatalf("journal leaked %d open attempts", a.j.Open())
+	}
+}
+
+// TestObserveTimingSampled pins the sampled observe clock: every flow
+// is counted for every analyzer, only one flow in timeEvery is timed
+// (the first one included, so a short run still has latencies), and
+// retract/seal/reset keep their meaning under concurrent commits.
+func TestObserveTimingSampled(t *testing.T) {
+	p := New()
+	names := []string{"sampled-a", "sampled-b"}
+	analyzers := []*countAnalyzer{newCountAnalyzer(), newCountAnalyzer()}
+	for i, name := range names {
+		p.Register(name, analyzers[i])
+	}
+
+	const goroutines = 8
+	const perGoroutine = 125
+	const n = goroutines * perGoroutine
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			name := string(rune('A' + g))
+			for i := 0; i < perGoroutine; i++ {
+				att := int64(g*perGoroutine + i + 1)
+				p.Observe(&capture.Flow{Browser: name, Attempt: att})
+				if i%5 == 0 {
+					p.Retract(att)
+				} else {
+					p.Seal(att)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	const retracted = goroutines * perGoroutine / 5 // i%5 == 0 for 1 in 5
+	const timed = (n + timeEvery - 1) / timeEvery
+	for i, name := range names {
+		if got := obs.Default.Counter("pipeline_observed_total", "analyzer", name).Value(); got != n {
+			t.Errorf("%s observed = %d, want %d", name, got, n)
+		}
+		if got := obs.Default.Counter("pipeline_retractions_total", "analyzer", name).Value(); got != retracted {
+			t.Errorf("%s retractions = %d, want %d", name, got, retracted)
+		}
+		h := obs.Default.Histogram("pipeline_observe_seconds", nil, "analyzer", name)
+		if got := h.Count(); got != timed || got == 0 {
+			t.Errorf("%s timed flows = %d, want %d", name, got, timed)
+		}
+		counts := analyzers[i].Finalize().(map[string]int)
+		for g := 0; g < goroutines; g++ {
+			if got := counts[string(rune('A'+g))]; got != perGoroutine-perGoroutine/5 {
+				t.Errorf("%s browser %c count = %d, want %d", name, 'A'+g, got, perGoroutine-perGoroutine/5)
+			}
+		}
+		if open := analyzers[i].j.Open(); open != 0 {
+			t.Errorf("%s journal holds %d open attempts", name, open)
+		}
+	}
+	p.Reset()
+	for i, name := range names {
+		if got := analyzers[i].Finalize().(map[string]int); len(got) != 0 {
+			t.Errorf("%s after reset: %v", name, got)
+		}
 	}
 }

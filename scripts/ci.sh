@@ -27,13 +27,16 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
+echo "==> benchmark module tests (perfbench: its own Go module, outside ./...)"
+(cd perfbench && go test ./...)
+
 echo "==> go test -race (obs, mitm, connpool, capture: sharded accept loops + idle pools + flow recycling)"
 go test -race ./internal/obs/... ./internal/mitm/... ./internal/connpool/... ./internal/capture/...
 
 echo "==> go test -race (core, leak, pipeline: concurrent scheduler + streaming analyzers)"
 go test -race ./internal/core/... ./internal/leak/... ./internal/pipeline/...
 
-echo "==> go test -race (match, pii: shared automaton + dictionary dispatch)"
+echo "==> go test -race (match, pii: concurrent scans of one automaton + dictionary dispatch)"
 go test -race ./internal/match/... ./internal/pii/...
 
 echo "==> go test -race (sink, breaker: export dispatchers + shared breakers)"
