@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"crypto/tls"
 	"crypto/x509"
-	"encoding/base64"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -31,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"panoptes/internal/capture"
 	"panoptes/internal/cdp"
 	"panoptes/internal/device"
 	"panoptes/internal/dnssim"
@@ -137,6 +135,14 @@ type Browser struct {
 	// and restore it across retries and relaunches.
 	resolveMu    sync.Mutex
 	resolveCache map[string]bool
+	// lookupMu serialises the app's resolver lookups (and the DoH PII
+	// lookup): the per-destination lanes of a native burst would
+	// otherwise open extra connections to the DoH endpoint at once.
+	lookupMu sync.Mutex
+
+	// burstObserver, when set, sees every native burst's plan before its
+	// lanes start (a test hook; see export_test.go).
+	burstObserver func([]nativeOp)
 
 	// clientTLS is the native stack's TLS template (roots, clock, session
 	// cache); the h2 and WebSocket dialers clone it per connection.
@@ -437,7 +443,11 @@ func (b *Browser) buildClients() {
 			return nil
 		}
 		b.resolveMu.Unlock()
+		// A failed lookup is not cached: the next request to the host
+		// retries it, as the OS resolver would.
+		b.lookupMu.Lock()
 		err := resolve(host)
+		b.lookupMu.Unlock()
 		if err == nil {
 			b.resolveMu.Lock()
 			b.resolveCache[host] = true
@@ -581,16 +591,15 @@ func (b *Browser) idleTick() {
 	t := b.activity.Now().Sub(b.idleStart).Seconds()
 	p := b.Profile
 	expected := p.IdleBurst*(1-math.Exp(-t/p.IdleTauSec)) + p.IdleRatePerMin*t/60
-	var dests []profiles.IdleDest
+	var burst []nativeOp
 	for b.idleIssued < expected {
 		b.idleIssued++
-		dests = append(dests, b.pickIdleDest())
+		d := b.pickIdleDest()
+		burst = append(burst, nativeOp{kind: opHTTP, method: http.MethodGet, host: d.Host, path: d.Path})
 	}
 	b.mu.Unlock()
 
-	for _, d := range dests {
-		b.nativeRequest("GET", d.Host, d.Path, "", "")
-	}
+	b.sendBurst(burst)
 }
 
 // pickIdleDest selects the next destination by smooth weighted
@@ -665,67 +674,6 @@ func (b *Browser) nativeRequest(method, host, path, query, body string) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-}
-
-// expand fills a native template's placeholders for a visit.
-func (b *Browser) expand(t, visitURL string) string {
-	host := ""
-	if u, err := url.Parse(visitURL); err == nil {
-		host = u.Hostname()
-	}
-	r := strings.NewReplacer(
-		"{URL}", visitURL,
-		"{URL_B64}", base64.StdEncoding.EncodeToString([]byte(visitURL)),
-		"{URL_ESC}", url.QueryEscape(visitURL),
-		"{HOST}", host,
-		"{UUID}", b.UUID(),
-	)
-	return r.Replace(t)
-}
-
-// onVisitNative fires the profile's per-visit native traffic.
-func (b *Browser) onVisitNative(visitURL string) {
-	p := b.Profile
-	for _, t := range p.OnVisit {
-		method := t.Method
-		if method == "" {
-			method = http.MethodGet
-		}
-		b.nativeRequest(method, t.Host, t.Path, b.expand(t.Query, visitURL), b.expand(t.Body, visitURL))
-	}
-	// PII beacon (Table 2): device attributes as query parameters.
-	if p.PII.Any() && p.PIICarrier != "" {
-		b.nativeRequest(http.MethodGet, p.PIICarrier, "/device/profile", b.piiQuery(), "")
-	}
-	// Generic telemetry noise, round-robin over the noise hosts.
-	for i := 0; i < p.VisitNoise; i++ {
-		if len(p.NoiseHosts) == 0 {
-			break
-		}
-		b.mu.Lock()
-		host := p.NoiseHosts[b.noiseIdx%len(p.NoiseHosts)]
-		b.noiseIdx++
-		b.mu.Unlock()
-		body := ""
-		method := http.MethodGet
-		if p.NoiseBytes > 0 {
-			method = http.MethodPost
-			body = fmt.Sprintf(`{"event":"telemetry","seq":%d,"pad":"%s"}`,
-				b.visitCount, strings.Repeat("t", p.NoiseBytes))
-		}
-		b.nativeRequest(method, host, "/beacon", "", body)
-	}
-	// WebSocket push telemetry: the visited URL rides inside a frame, not
-	// an HTTP request line or body.
-	if p.WSTelemetryHost != "" && b.transportOn(capture.TransportWS) {
-		b.wsTelemetry(p.WSTelemetryHost, visitURL)
-	}
-	// DoH PII qname: the device country crosses the wire only as a DNS
-	// label inside the DoH POST body.
-	if p.DoHPIIQname != "" && b.dohClient != nil {
-		qname := strings.ReplaceAll(p.DoHPIIQname, "{CC}", strings.ToLower(TestbedCountry))
-		_, _ = b.dohClient.Lookup(qname)
-	}
 }
 
 // piiQuery renders the Table 2 attributes the profile leaks.

@@ -62,7 +62,7 @@ func (b *Browser) Navigate(url string) (*webengine.PageResult, error) {
 
 	// Native per-visit traffic fires regardless of incognito mode — the
 	// paper's central incognito finding (§3.2).
-	b.onVisitNative(url)
+	b.sendBurst(b.planVisit(url))
 
 	if b.cdpServer != nil {
 		b.cdpServer.Emit(cdp.EventDOMContentFired, map[string]any{

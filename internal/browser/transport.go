@@ -176,16 +176,17 @@ func (b *Browser) countNativeErr() {
 
 // --- WebSocket telemetry ---
 
-// wsTelemetry opens the push channel, ships one visit frame carrying the
-// visited URL and the persistent identifier, reads the ack, and closes.
-func (b *Browser) wsTelemetry(host, visitURL string) {
+// wsTelemetryPath is the push channel's endpoint on the telemetry host.
+const wsTelemetryPath = "/push/v1/telemetry"
+
+// wsTelemetry opens the push channel, ships one visit frame (carrying
+// the visited URL and the persistent identifier), reads the ack, and
+// closes.
+func (b *Browser) wsTelemetry(host, frame string) {
 	if b.resolve != nil {
 		_ = b.resolve(host)
 	}
-	b.mu.Lock()
-	seq := b.visitCount
-	b.mu.Unlock()
-	c, err := ws.Dial("wss://"+host+"/push/v1/telemetry", func(addr string) (net.Conn, error) {
+	c, err := ws.Dial("wss://"+host+wsTelemetryPath, func(addr string) (net.Conn, error) {
 		raw, err := b.dev.DialContext(context.Background(), b.Pkg.UID, addr)
 		if err != nil {
 			return nil, err
@@ -204,7 +205,6 @@ func (b *Browser) wsTelemetry(host, visitURL string) {
 		return
 	}
 	defer c.Close()
-	frame := fmt.Sprintf(`{"event":"page_visit","seq":%d,"url":%q,"uuid":%q}`, seq, visitURL, b.UUID())
 	if err := c.WriteMessage(ws.OpText, []byte(frame)); err != nil {
 		b.countNativeErr()
 		return

@@ -40,6 +40,15 @@ type Tap interface {
 	Seal(attempt int64)
 }
 
+// Finisher is an optional Tap extension for readers that need a flow's
+// response fields. A flow committed with Store.AddOpen is still being
+// written by its producer (Status, RespBytes, Err); Finish is called once
+// for it, from the producer, after the last write. Flows committed with
+// Add are complete when observed and get no Finish.
+type Finisher interface {
+	Finish(f *Flow)
+}
+
 // Taps fans the commit stream out to several taps in order — the
 // streaming analysis pipeline and the export plane (internal/sink)
 // ride the same stream side by side.
@@ -63,6 +72,15 @@ func (ts Taps) Retract(attempt int64) {
 func (ts Taps) Seal(attempt int64) {
 	for _, t := range ts {
 		t.Seal(attempt)
+	}
+}
+
+// Finish implements Finisher for the members that do.
+func (ts Taps) Finish(f *Flow) {
+	for _, t := range ts {
+		if fin, ok := t.(Finisher); ok {
+			fin.Finish(f)
+		}
 	}
 }
 
@@ -166,7 +184,16 @@ type Flow struct {
 	// AcquireFlow sets pooled, making Ref/Release meaningful.
 	refs   int32
 	pooled bool
+	// open is set by Store.AddOpen and cleared by Store.Finish (or a
+	// later Add). Only the committing goroutine, which runs the commit
+	// tap, touches it.
+	open bool
 }
+
+// Open reports whether the flow was committed before its exchange ended
+// and has not been finished: its producer may still write Status,
+// RespBytes and Err. Taps read it in Observe.
+func (f *Flow) Open() bool { return f.open }
 
 // URL reconstructs the full request URL.
 func (f *Flow) URL() string {
@@ -280,9 +307,18 @@ func (s *Store) shardFor(f *Flow) *shard {
 	return &s.shards[uint64(f.ID)%NumShards]
 }
 
-// Add commits a flow: stamps the store's origin, files it (or, with
-// retention off, buffers/spills it), then feeds it to the commit tap.
-func (s *Store) Add(f *Flow) {
+// Add commits a complete flow: stamps the store's origin, files it (or,
+// with retention off, buffers/spills it), then feeds it to the commit
+// tap.
+func (s *Store) Add(f *Flow) { s.add(f, false) }
+
+// AddOpen commits a flow whose exchange is still running, as the MITM
+// proxy does at request time so the analyses see it at once. The
+// producer must call Finish after its last write to the flow.
+func (s *Store) AddOpen(f *Flow) { s.add(f, true) }
+
+func (s *Store) add(f *Flow, open bool) {
+	f.open = open
 	if s.origin != "" {
 		f.Origin = s.origin
 	}
@@ -308,6 +344,16 @@ func (s *Store) Add(f *Flow) {
 	}
 	if t := s.tap; t != nil {
 		t.Observe(f)
+	}
+}
+
+// Finish reports that the exchange of a flow committed with AddOpen has
+// ended: its response fields are final. It forwards to the commit tap
+// when the tap is a Finisher.
+func (s *Store) Finish(f *Flow) {
+	f.open = false
+	if fin, ok := s.tap.(Finisher); ok {
+		fin.Finish(f)
 	}
 }
 

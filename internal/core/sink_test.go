@@ -298,3 +298,44 @@ func TestSinkResumeNoDoublePublish(t *testing.T) {
 		}
 	}
 }
+
+// TestSinkExportsFinishedFlows pins the export plane's ownership rule:
+// the proxy commits a flow at request time and writes its Status and
+// RespBytes when the exchange ends, so the exporter must not hand an
+// untagged flow to a sink before then. A batch size of 1 flushes each
+// flow the moment it is committed, and the modelled round trip keeps the
+// exchange running while the file sink's dispatcher encodes: every
+// exported idle flow must carry its final response fields (and -race
+// must see no concurrent encode and write).
+func TestSinkExportsFinishedFlows(t *testing.T) {
+	fileSink := sink.NewFileSink(t.TempDir())
+	w, err := NewWorld(WorldConfig{
+		Sites: 2, Profiles: []*profiles.Profile{profiles.ByName("Opera")}, UpstreamRTT: 20 * time.Millisecond,
+		Sinks: []sink.Publisher{fileSink}, SinkConfig: sink.Config{BatchSize: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.RunIdle("Opera", 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	w.Close() // drains the exporter and seals the last segment
+
+	n := 0
+	for _, p := range fileSink.SegmentPaths() {
+		for _, env := range readSinkSegment(t, p) {
+			if env.Type != sink.TypeFlow {
+				continue
+			}
+			n++
+			if env.Flow.Status == 0 || env.Flow.RespBytes == 0 {
+				t.Errorf("flow %d %s%s exported before its exchange ended: status %d, resp_bytes %d",
+					env.Flow.ID, env.Flow.Host, env.Flow.Path, env.Flow.Status, env.Flow.RespBytes)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no idle flows exported")
+	}
+}

@@ -128,6 +128,24 @@ type Vetoer interface {
 	Veto(f *capture.Flow, req *http.Request) error
 }
 
+// Finisher is an optional extension of Addon: Finish runs once per flow
+// when its exchange ends, after the proxy's last write to the flow
+// (Status, RespBytes, Err) and before the proxy drops its reference. An
+// addon that committed the flow at Request time uses it to tell readers
+// on other goroutines that the response fields are final.
+type Finisher interface {
+	Finish(f *capture.Flow)
+}
+
+// finish runs every Finisher addon's Finish for f.
+func finish(addons []Addon, f *capture.Flow) {
+	for _, a := range addons {
+		if fin, ok := a.(Finisher); ok {
+			fin.Finish(f)
+		}
+	}
+}
+
 // Dialer opens upstream connections. The device network stack provides
 // one bound to the proxy container's own UID, so upstream traffic is not
 // re-diverted into the proxy.
@@ -735,6 +753,7 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 		for _, a := range addons {
 			a.Response(upFlow, nil)
 		}
+		finish(addons, upFlow)
 		body := "panoptes-mitm: upstream error: " + err.Error()
 		fmt.Fprintf(client, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: %d\r\nContent-Type: text/plain\r\n\r\n%s",
 			len(body), body)
@@ -779,6 +798,7 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 		for _, a := range addons {
 			a.Response(upFlow, nil)
 		}
+		finish(addons, upFlow)
 		return
 	}
 	defer cc.Close()
@@ -786,6 +806,7 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 	for _, a := range addons {
 		a.Response(upFlow, nil)
 	}
+	finish(addons, upFlow)
 
 	for {
 		op, msg, err := cc.ReadMessage()
@@ -801,6 +822,7 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 			for _, a := range addons {
 				a.Response(ff, nil)
 			}
+			finish(addons, ff)
 			ff.Release()
 			return
 		}
@@ -817,6 +839,7 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 		for _, a := range addons {
 			a.Response(ff, nil)
 		}
+		finish(addons, ff)
 		ff.Release()
 		if err != nil {
 			return
@@ -881,6 +904,9 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 	mBytesUp.Add(int64(flow.ReqBytes))
 
 	addons := p.addonList()
+	// Deferred after the producer's Release, so it runs first: by then the
+	// exchange has made its last write to the flow.
+	defer finish(addons, flow)
 	splitSpan := sp.Child("taint.split")
 	for _, a := range addons {
 		a.Request(flow, req)

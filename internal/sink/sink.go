@@ -47,8 +47,10 @@ func init() {
 
 // Envelope is one export event: a committed flow or an analyzer delta.
 // Seq is the exporter-local export sequence — monotonically increasing
-// in enqueue order, so downstream consumers can re-establish commit
-// order across rotated files or bulk responses.
+// in enqueue order, so downstream consumers can re-establish export
+// order across rotated files or bulk responses. Enqueue order is commit
+// order, except that a flow committed while its exchange was running is
+// enqueued when the exchange ends.
 type Envelope struct {
 	Seq      uint64          `json:"seq"`
 	Type     string          `json:"type"` // "flow" or "delta"
@@ -185,8 +187,13 @@ type SinkStats struct {
 type Exporter struct {
 	cfg Config
 
-	mu         sync.Mutex
-	pending    map[int64][]*capture.Flow // parked until SealAttempt
+	mu      sync.Mutex
+	pending map[int64][]*capture.Flow // parked until SealAttempt
+	// open holds flows whose exchange is still running (capture.Flow.Open
+	// at Observe), until the producer's Finish. The value says whether
+	// Finish enqueues the flow: true once it is untagged or its attempt
+	// sealed; false while it is still parked in pending.
+	open       map[*capture.Flow]bool
 	batch      []Envelope
 	batchStart time.Time
 	seq        uint64
@@ -212,6 +219,7 @@ func NewExporter(cfg Config, pubs ...Publisher) *Exporter {
 	e := &Exporter{
 		cfg:     cfg,
 		pending: make(map[int64][]*capture.Flow),
+		open:    make(map[*capture.Flow]bool),
 		deduped: obs.Default.Counter("sink_deduped_total"),
 		flushes: map[string]*obs.Counter{
 			"size":   obs.Default.Counter("sink_batch_flush_total", "trigger", "size"),
@@ -269,7 +277,9 @@ func (e *Exporter) SeedExported(ids []int64) {
 // Observe receives one committed flow from the capture store. Flows
 // tagged with a navigation attempt park until the attempt seals;
 // untagged flows (idle experiment, checkpoint replays, standalone
-// proxy) go straight to the batcher.
+// proxy) go straight to the batcher. Either way a flow whose exchange
+// is still running enters a batch only at its Finish: the sinks encode
+// batches on their own goroutines and must see final response fields.
 func (e *Exporter) Observe(f *capture.Flow) {
 	e.mu.Lock()
 	if e.closed {
@@ -285,23 +295,48 @@ func (e *Exporter) Observe(f *capture.Flow) {
 	// them into a batch or Retract/Close drops them; batched flows hold
 	// it until every sink dispatcher is done with the batch.
 	f.Ref()
-	if f.Attempt != 0 {
+	switch {
+	case f.Attempt != 0:
 		e.pending[f.Attempt] = append(e.pending[f.Attempt], f)
-		e.mu.Unlock()
-		return
+		if f.Open() {
+			e.open[f] = false
+		}
+	case f.Open():
+		e.open[f] = true
+	default:
+		e.enqueueFlowLocked(f)
 	}
-	e.enqueueFlowLocked(f)
 	e.mu.Unlock()
 }
 
+// Finish implements capture.Finisher: the flow's exchange has ended, so
+// an untagged or sealed flow held for it enters the batcher now.
+func (e *Exporter) Finish(f *capture.Flow) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	enqueue, ok := e.open[f]
+	if !ok {
+		return
+	}
+	delete(e.open, f)
+	if enqueue {
+		e.enqueueFlowLocked(f)
+	}
+}
+
 // Seal commits an attempt: its parked flows enter the batcher in the
-// order they were captured.
+// order they were captured, except that a flow whose exchange is still
+// running follows at its Finish.
 func (e *Exporter) Seal(attempt int64) {
 	e.mu.Lock()
 	flows := e.pending[attempt]
 	delete(e.pending, attempt)
 	if !e.closed {
 		for _, f := range flows {
+			if _, running := e.open[f]; running {
+				e.open[f] = true
+				continue
+			}
 			e.enqueueFlowLocked(f)
 		}
 	}
@@ -315,6 +350,9 @@ func (e *Exporter) Retract(attempt int64) {
 	e.mu.Lock()
 	flows := e.pending[attempt]
 	delete(e.pending, attempt)
+	for _, f := range flows {
+		delete(e.open, f)
+	}
 	e.mu.Unlock()
 	for _, f := range flows {
 		f.Release()
@@ -466,6 +504,12 @@ func (e *Exporter) Close() error {
 		}
 	}
 	e.pending = nil
+	for f, enqueue := range e.open {
+		if enqueue { // not in pending, so released here
+			f.Release()
+		}
+	}
+	e.open = nil
 	e.closed = true
 	e.mu.Unlock()
 

@@ -147,6 +147,42 @@ func TestSealPreservesCaptureOrder(t *testing.T) {
 	}
 }
 
+// TestOpenFlowsWaitForFinish: a flow committed while its exchange runs
+// (Store.AddOpen) reaches a batch only at its Finish — untagged, or
+// sealed before the exchange ended — and a retracted one never does,
+// Finish or not.
+func TestOpenFlowsWaitForFinish(t *testing.T) {
+	mem := NewMemorySink()
+	e := NewExporter(Config{BatchSize: 1, Now: newFakeClock().Now}, mem)
+	db := capture.NewDB()
+	db.SetTap(e)
+	idle, sealed, retracted, done := flow(1, 0), flow(2, 5), flow(3, 6), flow(4, 5)
+	for _, f := range []*capture.Flow{idle, sealed, retracted} {
+		db.Native.AddOpen(f)
+	}
+	db.Native.Add(done)
+	db.SealAttempt(5)
+	db.RemoveAttempt(6)
+	e.Drain()
+	if ids := mem.FlowIDs(); len(ids) != 1 || !ids[4] {
+		t.Fatalf("before any Finish the sink holds %v, want only the finished flow 4", ids)
+	}
+	for _, f := range []*capture.Flow{idle, sealed, retracted} {
+		f.Status = 200 // the producer's last write, then Finish
+		db.Native.Finish(f)
+	}
+	e.Close()
+	ids := mem.FlowIDs()
+	if len(ids) != 3 || !ids[1] || !ids[2] || !ids[4] {
+		t.Fatalf("after Finish the sink holds %v, want flows 1, 2 and 4", ids)
+	}
+	for _, f := range mem.Flows() {
+		if f.Open() {
+			t.Errorf("flow %d still open after Finish", f.ID)
+		}
+	}
+}
+
 func TestResumeDedupeByFlowID(t *testing.T) {
 	mem := NewMemorySink()
 	e := NewExporter(Config{BatchSize: 1, Now: newFakeClock().Now}, mem)

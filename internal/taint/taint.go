@@ -99,12 +99,20 @@ func (a *SplitterAddon) Request(f *capture.Flow, req *http.Request) {
 		f.Incognito = v.Incognito
 		f.Attempt = v.Attempt
 	}
-	a.DB.StoreFor(f.Origin).Add(f)
+	// Committed at request time, before the exchange runs: the analyses
+	// and attempt quarantine see the flow at once.
+	a.DB.StoreFor(f.Origin).AddOpen(f)
 }
 
 // Response implements mitm.Addon; the splitter classifies on requests
 // only.
 func (a *SplitterAddon) Response(f *capture.Flow, resp *http.Response) {}
+
+// Finish implements mitm.Finisher: the exchange of a flow committed in
+// Request has ended, so its response fields are final.
+func (a *SplitterAddon) Finish(f *capture.Flow) {
+	a.DB.StoreFor(f.Origin).Finish(f)
+}
 
 // Mismatched reports how many requests carried a non-campaign taint
 // value.

@@ -42,6 +42,9 @@ go test -race ./internal/match/... ./internal/pii/...
 echo "==> go test -race (sink, breaker: export dispatchers + shared breakers)"
 go test -race ./internal/sink/... ./internal/breaker/...
 
+echo "==> go test -race (browser, webengine: per-host native burst lanes + concurrent subresource fetches)"
+go test -race ./internal/browser/... ./internal/webengine/...
+
 echo "==> fault-seed chaos smoke (10% fault rate campaign under -race, all transports)"
 # A seeded chaos campaign over every data-plane transport (the fleet
 # includes h2, WebSocket and DoH speakers) must complete with every
