@@ -28,7 +28,6 @@ import (
 	"panoptes/internal/blocker"
 	"panoptes/internal/capture"
 	"panoptes/internal/core"
-	"panoptes/internal/fabric"
 	"panoptes/internal/faultsim"
 	"panoptes/internal/leak"
 	"panoptes/internal/obs"
@@ -47,7 +46,7 @@ func main() {
 		idleDur   = flag.Duration("idle", 10*time.Minute, "idle-experiment duration (virtual time)")
 		outDir    = flag.String("out", "", "directory for JSONL flow databases and CSV outputs")
 		harOut    = flag.Bool("har", false, "with -out: also export HAR 1.2 archives")
-		retain    = flag.String("retain", "all", "flow retention: all, native (drop engine flows after streaming analysis) or none (drop all; with -out, dropped flows spill to JSONL as they commit)")
+		retain    = flag.String("retain", "all", "flow retention: all, native (drop engine flows after streaming analysis) or none (drop all; with -out, dropped flows spill to JSONL as their exchanges end)")
 		block     = flag.Bool("block", false, "install the countermeasure blocker (internal/blocker)")
 
 		sinkSpecs  = flag.String("sink", "", "export sinks, comma-separated: http:URL (NDJSON bulk POST), file:DIR (rotating gzip JSONL), mem (in-memory smoke)")
@@ -66,11 +65,6 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the deterministic fault plan (with -faults)")
 		checkpoint = flag.String("checkpoint", "", "write a resumable campaign checkpoint (JSON) to this path")
 		resumeFrom = flag.String("resume", "", "resume the campaign from a checkpoint written by -checkpoint")
-
-		workersN     = flag.Int("workers", 0, "run the campaign on a lease-based worker fabric with this many worker planes (0 = single-process)")
-		leaseVisits  = flag.Int("lease-visits", 0, "sites per fabric lease (with -workers; default 4)")
-		leaseTimeout = flag.Duration("lease-timeout", 0, "virtual-clock lease deadline before a silent worker's lease is reclaimed (with -workers; default 2m)")
-		fabricMode   = flag.String("fabric-mode", "failover", "worker transport spread: failover or roundrobin (with -workers)")
 
 		transportsF = flag.String("transports", "", "comma-separated data-plane transports to dissect: h1,h2,ws,doh (default: all; h1 always on)")
 		blockH3     = flag.Bool("block-h3", true, "install the UDP/443 drop rule forcing QUIC-capable browsers onto interceptable TCP (false = ablation: QUIC traffic bypasses capture)")
@@ -105,8 +99,8 @@ func main() {
 		fatalf("-checkpoint requires -retain=all (checkpoints snapshot the flow databases)")
 	}
 	if *population > 0 {
-		if *workersN > 0 || *checkpoint != "" || *resumeFrom != "" || *block {
-			fatalf("-population is incompatible with -workers, -checkpoint, -resume and -block (the session engine bypasses the proxy and the lease fabric)")
+		if *checkpoint != "" || *resumeFrom != "" || *block {
+			fatalf("-population is incompatible with -checkpoint, -resume and -block (the session engine bypasses the proxy and the crawl campaign)")
 		}
 		// A million-user run only stays in memory with retention off;
 		// default there unless the operator chose a mode explicitly.
@@ -115,22 +109,6 @@ func main() {
 		if !retainExplicit {
 			retainMode = capture.RetainNone
 		}
-	}
-	if *workersN > 0 {
-		if *checkpoint != "" || *resumeFrom != "" {
-			fatalf("-workers is incompatible with -checkpoint/-resume: the fabric's leases already partition and resume the campaign internally")
-		}
-		if *block {
-			fatalf("-workers is incompatible with -block: the blocker hooks the coordinator proxy, but fabric visits run on worker planes")
-		}
-	}
-	fabricTransport := fabric.ModeFailover
-	if *workersN > 0 {
-		m, err := fabric.ParseMode(*fabricMode)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fabricTransport = m
 	}
 
 	var transportList []string
@@ -283,70 +261,31 @@ func main() {
 	}
 
 	if needCrawl && pop == nil {
-		var res *core.CampaignResult
 		start := time.Now()
-		if *workersN > 0 {
-			// Distributed path: the coordinator world merges; fresh worker
-			// planes (same deterministic site dataset, full retention so the
-			// lease checkpoints can carry session state) do the crawling.
-			fmt.Fprintf(os.Stderr, "panoptes: fabric crawl of %d sites × %d browsers (workers=%d, mode=%s)...\n",
-				len(w.Sites), len(selected), *workersN, fabricTransport)
-			fres, err := fabric.Run(fabric.Config{
-				World: w,
-				NewWorkerWorld: func() (*core.World, error) {
-					ww, err := core.NewWorld(core.WorldConfig{
-						Sites: *sites, Profiles: selected,
-						Transports: transportList, DisableH3Block: !*blockH3,
-					})
-					if err != nil {
-						return nil, err
-					}
-					if inj != nil {
-						ww.InstallFaults(inj)
-					}
-					return ww, nil
-				},
-				Workers:      *workersN,
-				LeaseVisits:  *leaseVisits,
-				LeaseTimeout: *leaseTimeout,
-				Mode:         fabricTransport,
-				Campaign:     core.CampaignConfig{Incognito: *incognito},
-				Faults:       inj,
-			})
+		workers := *parallel
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		ccfg := core.CampaignConfig{
+			Incognito:   *incognito,
+			Parallelism: *parallel,
+			Checkpoint:  *checkpoint != "",
+		}
+		if *resumeFrom != "" {
+			cp, err := core.ReadCheckpoint(*resumeFrom)
 			if err != nil {
-				fatalf("fabric: %v", err)
+				fatalf("%v", err)
 			}
-			res = fres.Campaign
-			st := fres.Stats
-			fmt.Fprintf(os.Stderr, "panoptes: fabric: %d leases issued, %d reclaimed, %d duplicate completions dropped; %d worker restarts; %d flows merged, %d quarantined\n",
-				st.LeasesIssued, st.LeasesReclaimed, st.DuplicateDrops, st.WorkerRestarts, st.FlowsMerged, st.FlowsQuarantined)
-		} else {
-			workers := *parallel
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			ccfg := core.CampaignConfig{
-				Incognito:   *incognito,
-				Parallelism: *parallel,
-				Checkpoint:  *checkpoint != "",
-			}
-			if *resumeFrom != "" {
-				cp, err := core.ReadCheckpoint(*resumeFrom)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				ccfg.Resume = cp
-				ccfg.Incognito = cp.Incognito
-				fmt.Fprintf(os.Stderr, "panoptes: resuming campaign from %s (%d browsers checkpointed)\n",
-					*resumeFrom, len(cp.Browsers))
-			}
-			fmt.Fprintf(os.Stderr, "panoptes: crawling %d sites × %d browsers (incognito=%v, parallel=%d)...\n",
-				len(w.Sites), len(selected), ccfg.Incognito, workers)
-			r, err := w.RunCampaign(ccfg)
-			if err != nil {
-				fatalf("campaign: %v", err)
-			}
-			res = r
+			ccfg.Resume = cp
+			ccfg.Incognito = cp.Incognito
+			fmt.Fprintf(os.Stderr, "panoptes: resuming campaign from %s (%d browsers checkpointed)\n",
+				*resumeFrom, len(cp.Browsers))
+		}
+		fmt.Fprintf(os.Stderr, "panoptes: crawling %d sites × %d browsers (incognito=%v, parallel=%d)...\n",
+			len(w.Sites), len(selected), ccfg.Incognito, workers)
+		res, err := w.RunCampaign(ccfg)
+		if err != nil {
+			fatalf("campaign: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "panoptes: %d visits (%d errors, %d skipped) in %v wall / %v virtual\n",
 			len(res.Visits), res.Errors, len(res.Skipped), time.Since(start).Round(time.Millisecond),
@@ -519,10 +458,6 @@ func main() {
 		}
 		if w.Exporter != nil {
 			report.SinkObsSummary(os.Stdout, obs.Default)
-			fmt.Println()
-		}
-		if *workersN > 0 {
-			report.FabricObsSummary(os.Stdout, obs.Default)
 			fmt.Println()
 		}
 		report.MetricsSummary(os.Stdout, obs.Default)

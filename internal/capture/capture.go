@@ -253,9 +253,15 @@ type Store struct {
 	// filed into the shards: attempt-tagged flows wait in pending until
 	// the attempt is sealed (spill) or removed (drop), so quarantined
 	// flows never reach the spill sink; untagged flows spill immediately.
+	// A flow committed with AddOpen spills no earlier than its Finish:
+	// open holds it until then, the value saying whether Finish spills
+	// it (true once it is untagged or its attempt sealed; false while it
+	// is parked in pending or after its attempt was removed). pendingMu
+	// guards pending and open.
 	noRetain     atomic.Bool
 	pendingMu    sync.Mutex
 	pending      map[int64][]*Flow
+	open         map[*Flow]bool
 	pendingCount atomic.Int64
 	spillMu      sync.Mutex
 	spill        *json.Encoder
@@ -327,7 +333,7 @@ func (s *Store) add(f *Flow, open bool) {
 		s.added.Inc()
 	}
 	if s.noRetain.Load() {
-		s.addUnretained(f)
+		s.addUnretained(f, open)
 	} else {
 		seq := s.seq.Add(1)
 		sh := s.shardFor(f)
@@ -349,24 +355,46 @@ func (s *Store) add(f *Flow, open bool) {
 
 // Finish reports that the exchange of a flow committed with AddOpen has
 // ended: its response fields are final. It forwards to the commit tap
-// when the tap is a Finisher.
+// when the tap is a Finisher and, with retention off, spills the flow
+// if it was held for this moment.
 func (s *Store) Finish(f *Flow) {
-	f.open = false
 	if fin, ok := s.tap.(Finisher); ok {
 		fin.Finish(f)
 	}
+	if f.open && s.noRetain.Load() {
+		s.pendingMu.Lock()
+		spill := s.open[f] // false: still parked, or retracted
+		delete(s.open, f)
+		s.pendingMu.Unlock()
+		if spill {
+			s.spillOut(f)
+			f.Release()
+		}
+	}
+	f.open = false
 }
 
 // addUnretained files a flow when retention is off. Attempt-tagged
 // flows park in pending (still counted as resident) until the attempt
-// seals or is removed; untagged flows go straight to the spill sink.
-func (s *Store) addUnretained(f *Flow) {
-	if f.Attempt == 0 {
+// seals or is removed; complete untagged flows go straight to the
+// spill sink, open ones wait in open for their Finish.
+func (s *Store) addUnretained(f *Flow, open bool) {
+	if f.Attempt == 0 && !open {
 		s.spillOut(f)
 		return
 	}
-	f.Ref() // the quarantine buffer's reference, dropped on seal/remove
+	f.Ref() // the store's reference, dropped on seal/remove or at Finish
 	s.pendingMu.Lock()
+	if open {
+		if s.open == nil {
+			s.open = make(map[*Flow]bool)
+		}
+		s.open[f] = f.Attempt == 0
+		if f.Attempt == 0 {
+			s.pendingMu.Unlock()
+			return
+		}
+	}
 	if s.pending == nil {
 		s.pending = make(map[int64][]*Flow)
 	}
@@ -416,17 +444,29 @@ func (s *Store) takePending(attempt int64) []*Flow {
 	return flows
 }
 
-// sealAttempt commits an attempt's parked flows to the spill sink.
-// Only meaningful with retention off; must be called after the
-// attempt's flows have all been added (the campaign's navigate is
-// synchronous, and the fault path quiesces before quarantining).
+// sealAttempt commits an attempt's parked flows to the spill sink; a
+// flow whose exchange is still running follows at its Finish. Only
+// meaningful with retention off; must be called after the attempt's
+// flows have all been added (the campaign's navigate is synchronous,
+// and the fault path quiesces before quarantining).
 func (s *Store) sealAttempt(attempt int64) {
 	if attempt == 0 || !s.noRetain.Load() {
 		return
 	}
-	for _, f := range s.takePending(attempt) {
-		s.spillOut(f)
-		f.Release()
+	flows := s.takePending(attempt)
+	s.pendingMu.Lock()
+	for i, f := range flows {
+		if _, running := s.open[f]; running {
+			s.open[f] = true
+			flows[i] = nil
+		}
+	}
+	s.pendingMu.Unlock()
+	for _, f := range flows {
+		if f != nil {
+			s.spillOut(f)
+			f.Release()
+		}
 	}
 }
 
@@ -605,6 +645,12 @@ func (s *Store) Reset() {
 		}
 	}
 	s.pending = nil
+	for f, held := range s.open {
+		if held { // not in pending, so released here
+			f.Release()
+		}
+	}
+	s.open = nil
 	s.pendingMu.Unlock()
 	s.pendingCount.Add(int64(-pn))
 	if s.added != nil {

@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -84,12 +85,36 @@ func TestRetentionOffSpillAndQuarantine(t *testing.T) {
 	if n := db.RemoveAttempt(6); n != 1 {
 		t.Fatalf("RemoveAttempt removed %d, want 1", n)
 	}
+	// Open flows (AddOpen) spill no earlier than their Finish: untagged
+	// ones at Finish, tagged ones at the later of seal and Finish, and
+	// retracted ones never.
+	open := []*Flow{
+		{ID: 4, ReqBytes: 40},
+		{ID: 5, ReqBytes: 50, Attempt: 7},
+		{ID: 6, ReqBytes: 60, Attempt: 8},
+		{ID: 7, ReqBytes: 70, Attempt: 9},
+	}
+	for _, f := range open {
+		db.Native.AddOpen(f)
+	}
+	db.SealAttempt(7)
+	db.Native.Finish(open[2])
+	if n := db.RemoveAttempt(9); n != 1 {
+		t.Fatalf("RemoveAttempt of an open flow removed %d, want 1", n)
+	}
+	if n := bytes.Count(spill.Bytes(), []byte("\n")); n != 2 {
+		t.Fatalf("%d flows spilled before an open flow was both sealed and finished, want 2", n)
+	}
+	db.Native.Finish(open[0])
+	db.Native.Finish(open[1])
+	db.SealAttempt(8)
+	db.Native.Finish(open[3])
 
 	if db.Native.Len() != 0 || db.Native.Pending() != 0 {
 		t.Fatalf("resident = %d pending = %d, want 0/0", db.Native.Len(), db.Native.Pending())
 	}
-	if db.Native.Seen() != 3 {
-		t.Fatalf("seen = %d, want 3", db.Native.Seen())
+	if db.Native.Seen() != 7 {
+		t.Fatalf("seen = %d, want 7", db.Native.Seen())
 	}
 	if err := db.Native.SpillErr(); err != nil {
 		t.Fatal(err)
@@ -101,12 +126,12 @@ func TestRetentionOffSpillAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := back.All()
-	if len(flows) != 2 || flows[0].ID != 1 || flows[1].ID != 2 {
-		ids := make([]int64, len(flows))
-		for i, f := range flows {
-			ids[i] = f.ID
-		}
-		t.Fatalf("spilled flow IDs = %v, want [1 2]", ids)
+	ids := make([]int64, len(flows))
+	for i, f := range flows {
+		ids[i] = f.ID
+	}
+	if want := []int64{1, 2, 4, 5, 6}; !slices.Equal(ids, want) {
+		t.Fatalf("spilled flow IDs = %v, want %v", ids, want)
 	}
 }
 

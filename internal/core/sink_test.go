@@ -2,14 +2,17 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
+	"panoptes/internal/capture"
 	"panoptes/internal/faultsim"
 	"panoptes/internal/profiles"
 	"panoptes/internal/sink"
@@ -299,43 +302,92 @@ func TestSinkResumeNoDoublePublish(t *testing.T) {
 	}
 }
 
-// TestSinkExportsFinishedFlows pins the export plane's ownership rule:
-// the proxy commits a flow at request time and writes its Status and
-// RespBytes when the exchange ends, so the exporter must not hand an
-// untagged flow to a sink before then. A batch size of 1 flushes each
-// flow the moment it is committed, and the modelled round trip keeps the
-// exchange running while the file sink's dispatcher encodes: every
-// exported idle flow must carry its final response fields (and -race
-// must see no concurrent encode and write).
+// TestSinkExportsFinishedFlows pins the ownership rule of the two
+// streams that encode a flow off its commit: the export plane and, with
+// retention off, the spill file. The proxy commits a flow at request
+// time and writes its Status and RespBytes when the exchange ends, so
+// neither may encode an untagged flow before then. A batch size of 1
+// flushes each flow the moment it is committed, and the modelled round
+// trip keeps the exchange running while the file sink's dispatcher
+// encodes: every exported and every spilled idle flow must carry its
+// final response fields (and -race must see no concurrent encode and
+// write).
 func TestSinkExportsFinishedFlows(t *testing.T) {
 	fileSink := sink.NewFileSink(t.TempDir())
 	w, err := NewWorld(WorldConfig{
 		Sites: 2, Profiles: []*profiles.Profile{profiles.ByName("Opera")}, UpstreamRTT: 20 * time.Millisecond,
 		Sinks: []sink.Publisher{fileSink}, SinkConfig: sink.Config{BatchSize: 1},
+		Retain: capture.RetainNone,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	var spill lockedBuffer
+	w.DB.Engine.SetSpill(&spill)
+	w.DB.Native.SetSpill(&spill)
 	if _, err := w.RunIdle("Opera", 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	w.Close() // drains the exporter and seals the last segment
 
-	n := 0
+	var exported []*capture.Flow
 	for _, p := range fileSink.SegmentPaths() {
 		for _, env := range readSinkSegment(t, p) {
-			if env.Type != sink.TypeFlow {
-				continue
-			}
-			n++
-			if env.Flow.Status == 0 || env.Flow.RespBytes == 0 {
-				t.Errorf("flow %d %s%s exported before its exchange ended: status %d, resp_bytes %d",
-					env.Flow.ID, env.Flow.Host, env.Flow.Path, env.Flow.Status, env.Flow.RespBytes)
+			if env.Type == sink.TypeFlow {
+				exported = append(exported, env.Flow)
 			}
 		}
 	}
-	if n == 0 {
-		t.Fatal("no idle flows exported")
+	for _, c := range []struct {
+		name  string
+		flows []*capture.Flow
+	}{
+		{"sink", exported},
+		{"spill", spill.flows(t)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if len(c.flows) == 0 {
+				t.Fatal("no idle flows written")
+			}
+			for _, f := range c.flows {
+				if f.Status == 0 || f.RespBytes == 0 {
+					t.Errorf("flow %d %s%s written before its exchange ended: status %d, resp_bytes %d",
+						f.ID, f.Host, f.Path, f.Status, f.RespBytes)
+				}
+			}
+		})
 	}
+}
+
+// lockedBuffer collects the spill JSONL of both stores. Exchanges still
+// running at World.Close may spill while the test reads, so writes and
+// the read share a lock (each spilled flow is one Write).
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// flows decodes the flows spilled so far.
+func (b *lockedBuffer) flows(t *testing.T) []*capture.Flow {
+	t.Helper()
+	b.mu.Lock()
+	data := bytes.Clone(b.buf.Bytes())
+	b.mu.Unlock()
+	var out []*capture.Flow
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for dec.More() {
+		f := new(capture.Flow)
+		if err := dec.Decode(f); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, f)
+	}
+	return out
 }

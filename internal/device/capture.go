@@ -8,7 +8,7 @@ import (
 	"panoptes/internal/pcap"
 )
 
-// Packet synthesis for the capture tap. The device fabricates the frames a
+// Packet synthesis for the capture tap. The device synthesises the frames a
 // tcpdump on wlan0 would see: the TCP handshake at connect, one data
 // packet per socket write/read (payload replaced by zeros of the observed
 // size — the real payloads are TLS ciphertext anyway), and a FIN at close.

@@ -41,7 +41,9 @@ import (
 // Kind names one injectable fault.
 type Kind string
 
-// The fault kinds from ISSUE 3's tentpole list.
+// The fault kinds. Visit-level kinds are consumed at the substrate's
+// operation sites (see ArmedKinds); the chaos-only and population kinds
+// are consulted by their own hooks below.
 const (
 	DNSNXDomain  Kind = "dns_nxdomain"  // lookup answers NXDOMAIN
 	DNSServFail  Kind = "dns_servfail"  // DoH resolver answers SERVFAIL (chaos-only)
@@ -58,18 +60,9 @@ const (
 	SinkPublish  Kind = "sink_publish"  // export batch publish fails (chaos-only)
 	PoolPoison   Kind = "pool_poison"   // upstream idle conns silently die (chaos-only)
 
-	// Fabric kinds (ISSUE 8): faults against whole campaign workers and
-	// their worker→coordinator transport rather than a single exchange.
-	// WorkerCrash/WorkerStall run scripted/rate mode keyed by
-	// (workerID, lease browser, lease sequence) plus chaos occurrence
-	// mode; TransportDrop is chaos-only, keyed by endpoint name.
-	WorkerCrash   Kind = "worker_crash"   // worker dies mid-lease; its lease is reclaimed
-	WorkerStall   Kind = "worker_stall"   // worker freezes past its lease deadline
-	TransportDrop Kind = "transport_drop" // a worker→coordinator send is dropped
-
-	// Population kind (ISSUE 10): a simulated user abandons the
-	// population for good at a session boundary. Consulted by the
-	// popsim engine at session admission via UserChurnFault.
+	// Population kind: a simulated user abandons the population for
+	// good at a session boundary. Consulted by the popsim engine at
+	// session admission via UserChurnFault.
 	UserChurn Kind = "user_churn"
 )
 
@@ -439,34 +432,6 @@ func (inj *Injector) PoolFault(key string) error {
 	return markInjected(PoolPoison, fmt.Errorf("faultsim: injected pool poison for %s", key))
 }
 
-// WorkerFault is consulted by a fabric worker as it takes up a lease.
-// It reports whether this (worker, lease) should misbehave and how:
-// WorkerCrash means die mid-lease without completing, WorkerStall means
-// finish but freeze past the lease deadline before reporting. Scripted
-// and Rates entries run the deterministic decide function with
-// browser=workerID, host=the lease's browser, attempt=the worker's
-// lease sequence number, so chaos plans can kill a named worker on a
-// named lease reproducibly; ChaosRates run occurrence mode keyed by
-// workerID.
-func (inj *Injector) WorkerFault(workerID, leaseBrowser string, leaseSeq int) (Kind, bool) {
-	if inj == nil {
-		return "", false
-	}
-	for _, k := range []Kind{WorkerCrash, WorkerStall} {
-		if inj.plan.decide(k, workerID, leaseBrowser, leaseSeq) {
-			inj.mu.Lock()
-			inj.injected[k]++
-			inj.mu.Unlock()
-			obs.Default.Counter("fault_injected_total", "kind", string(k)).Inc()
-			return k, true
-		}
-		if inj.chaosHit(k, workerID) {
-			return k, true
-		}
-	}
-	return "", false
-}
-
 // UserChurnFault decides whether a simulated population user leaves
 // for good at the given session boundary. Pure rate mode: the decision
 // is a hash of (seed, browser, user, session) — independent of event
@@ -491,21 +456,6 @@ func (inj *Injector) UserChurnFault(browser string, user, sess int) bool {
 	inj.mu.Unlock()
 	obs.Default.Counter("fault_injected_total", "kind", string(UserChurn)).Inc()
 	return true
-}
-
-// TransportFault is the fabric transport's injectable send failure: a
-// hit drops one worker→coordinator message on the named endpoint (the
-// client then fails over to a standby endpoint and the batch is re-sent,
-// so a drop never loses flows). Chaos occurrence mode only — transport
-// sends happen outside the per-attempt arming window.
-func (inj *Injector) TransportFault(endpoint string) error {
-	if inj == nil {
-		return nil
-	}
-	if !inj.chaosHit(TransportDrop, endpoint) {
-		return nil
-	}
-	return markInjected(TransportDrop, fmt.Errorf("faultsim: injected transport drop on endpoint %s", endpoint))
 }
 
 // Counts returns a copy of the injected-fault tally by kind.

@@ -196,65 +196,3 @@ func TestClassify(t *testing.T) {
 		t.Error("Classify(nil) should be empty")
 	}
 }
-
-func TestWorkerFaultScripted(t *testing.T) {
-	inj := New(Plan{Seed: 3, Scripted: []ScriptedFault{
-		{Kind: WorkerCrash, Browser: "w1", Attempt: 2},
-		{Kind: WorkerStall, Browser: "w2", Host: "Brave", Attempt: 1},
-	}})
-	if k, ok := inj.WorkerFault("w1", "Chrome", 1); ok {
-		t.Fatalf("w1 lease 1 should be clean, got %v", k)
-	}
-	k, ok := inj.WorkerFault("w1", "Chrome", 2)
-	if !ok || k != WorkerCrash {
-		t.Fatalf("w1 lease 2 should crash, got %v/%v", k, ok)
-	}
-	// The stall is pinned to a Brave lease: other browsers stay clean.
-	if k, ok := inj.WorkerFault("w2", "Chrome", 1); ok {
-		t.Fatalf("w2 Chrome lease should be clean, got %v", k)
-	}
-	k, ok = inj.WorkerFault("w2", "Brave", 1)
-	if !ok || k != WorkerStall {
-		t.Fatalf("w2 Brave lease 1 should stall, got %v/%v", k, ok)
-	}
-	// A replacement worker has a new ID, so the script no longer matches
-	// and the re-issued lease runs clean.
-	if k, ok := inj.WorkerFault("w1#2", "Chrome", 2); ok {
-		t.Fatalf("replacement worker should be clean, got %v", k)
-	}
-	counts := inj.Counts()
-	if counts[WorkerCrash] != 1 || counts[WorkerStall] != 1 {
-		t.Fatalf("counts = %v, want 1 crash + 1 stall", counts)
-	}
-}
-
-func TestWorkerFaultRespectsMaxFaultAttempts(t *testing.T) {
-	inj := New(Plan{Seed: 3, Rates: map[Kind]float64{WorkerCrash: 1}})
-	if _, ok := inj.WorkerFault("w1", "Chrome", 3); ok {
-		t.Fatal("lease sequence beyond MaxFaultAttempts must be clean so restarts converge")
-	}
-	if k, ok := inj.WorkerFault("w1", "Chrome", 1); !ok || k != WorkerCrash {
-		t.Fatalf("rate-1 crash must fire inside the attempt bound, got %v/%v", k, ok)
-	}
-}
-
-func TestTransportFaultChaos(t *testing.T) {
-	inj := New(Plan{Seed: 11, ChaosRates: map[Kind]float64{TransportDrop: 1}})
-	err := inj.TransportFault("w1/ep0")
-	if err == nil {
-		t.Fatal("rate-1 transport drop must fire")
-	}
-	if k, ok := InjectedKind(err); !ok || k != TransportDrop {
-		t.Fatalf("dropped send must be marked injected, got %v/%v", k, ok)
-	}
-	if inj.Counts()[TransportDrop] != 1 {
-		t.Fatalf("counts = %v, want 1 transport drop", inj.Counts())
-	}
-	var nilInj *Injector
-	if err := nilInj.TransportFault("ep"); err != nil {
-		t.Fatalf("nil injector must be a no-op, got %v", err)
-	}
-	if _, ok := nilInj.WorkerFault("w", "Chrome", 1); ok {
-		t.Fatal("nil injector WorkerFault must be a no-op")
-	}
-}

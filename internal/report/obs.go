@@ -212,30 +212,6 @@ func PopulationObsSummary(w io.Writer, r *obs.Registry) {
 	}
 }
 
-// FabricObsSummary renders the distributed fabric's view: lease
-// lifecycle counts, worker restarts, merge lag and transport health.
-// Quiet when no leases were issued (single-process run).
-func FabricObsSummary(w io.Writer, r *obs.Registry) {
-	issued := r.Counter("fabric_lease_issued_total").Value()
-	if issued == 0 {
-		return
-	}
-	fmt.Fprintln(w, "Fabric summary")
-	fmt.Fprintf(w, "  leases                 %d issued / %d reclaimed / %d duplicate completions\n",
-		issued,
-		r.Counter("fabric_lease_reclaimed_total").Value(),
-		r.Counter("fabric_lease_duplicate_total").Value())
-	fmt.Fprintf(w, "  worker restarts        %d\n",
-		r.Counter("fabric_worker_restarts_total").Value())
-	fmt.Fprintf(w, "  quarantined flows      %d\n",
-		r.Counter("fabric_flows_quarantined_total").Value())
-	fmt.Fprintf(w, "  merge lag              %d flows parked\n",
-		int64(r.Gauge("fabric_merge_lag").Value()))
-	fmt.Fprintf(w, "  transport sends        %d ok / %d failed\n",
-		int64(sumLabel(r, "fabric_transport_sends_total", "result", "ok")),
-		int64(sumLabel(r, "fabric_transport_sends_total", "result", "error")))
-}
-
 // formatLatency renders observe latencies, keeping sub-millisecond
 // values legible (formatSeconds rounds to a whole millisecond, which
 // would flatten per-flow analyzer costs to 0s).

@@ -52,11 +52,9 @@ echo "==> fault-seed chaos smoke (10% fault rate campaign under -race, all trans
 # every failed visit classified, and the determinism keystones must hold
 # across straight/resumed runs at parallelism 1 and 8 — including the
 # data-plane contract: warm (resumed TLS + pooled conns, with injected
-# pool poison) campaigns byte-identical to the cold full-handshake path,
-# and the fabric contract: 1/2/8-worker topologies, including the
-# worker-kill chaos variant, byte-identical to the single-process run.
-go test -race -count=1 -run 'TestChaosCampaign|TestFaultCampaignDeterminism|TestDataPlaneDeterminism|TestFabricDeterminism' \
-    ./internal/core/ ./internal/faultsim/ ./internal/fabric/
+# pool poison) campaigns byte-identical to the cold full-handshake path.
+go test -race -count=1 -run 'TestChaosCampaign|TestFaultCampaignDeterminism|TestDataPlaneDeterminism' \
+    ./internal/core/ ./internal/faultsim/
 
 echo "==> population engine gate (determinism keystone + 10k-user bounded-residency smoke under -race)"
 # The population keystone pins the analyses byte-identical across
@@ -79,29 +77,18 @@ bench_out=$(go test -run '^$' -bench 'LeakScanScaling|MitmBodyAlloc' -benchmem -
     ./internal/leak/ ./internal/mitm/)
 echo "$bench_out"
 # Emit a machine-readable baseline so perf regressions show up as a
-# diff against the committed BENCH_*.json files. Only the metrics a
-# bench actually reported appear in its row (BenchmarkMitmBodyAlloc has
-# no flows/sec; earlier emitters wrote it as an empty string).
+# diff against the committed BENCH_*.json files. Every "value unit" pair
+# a bench reported becomes a key, "/" in the unit spelled "_per_"
+# (ns/op -> ns_per_op, visits/sec -> visits_per_sec).
 emit_bench_json() {
     awk -v pattern="$1" '
 BEGIN { print "[" ; first = 1 }
 $0 ~ "^Benchmark(" pattern ")" {
     row = "{\"bench\": \"" $1 "\""
-    for (i = 2; i <= NF; i++) {
-        if ($(i) == "flows/sec")              row = row ", \"flows_per_sec\": \"" $(i - 1) "\""
-        if ($(i) == "h1_flows/sec")           row = row ", \"h1_flows_per_sec\": \"" $(i - 1) "\""
-        if ($(i) == "h2_flows/sec")           row = row ", \"h2_flows_per_sec\": \"" $(i - 1) "\""
-        if ($(i) == "ws_flows/sec")           row = row ", \"ws_flows_per_sec\": \"" $(i - 1) "\""
-        if ($(i) == "doh_flows/sec")          row = row ", \"doh_flows_per_sec\": \"" $(i - 1) "\""
-        if ($(i) == "allocs/op")              row = row ", \"allocs_per_op\": \"" $(i - 1) "\""
-        if ($(i) == "peak_queue_depth")       row = row ", \"peak_queue_depth\": \"" $(i - 1) "\""
-        if ($(i) == "visits/sec")             row = row ", \"visits_per_sec\": \"" $(i - 1) "\""
-        if ($(i) == "allocs/visit")           row = row ", \"allocs_per_visit\": \"" $(i - 1) "\""
-        if ($(i) == "handshake_resumed_pct")  row = row ", \"handshake_resumed_pct\": \"" $(i - 1) "\""
-        if ($(i) == "conn_reuse_pct")         row = row ", \"conn_reuse_pct\": \"" $(i - 1) "\""
-        if ($(i) == "lease_reclaims")         row = row ", \"lease_reclaims\": \"" $(i - 1) "\""
-        if ($(i) == "sessions/sec")           row = row ", \"sessions_per_sec\": \"" $(i - 1) "\""
-        if ($(i) == "peak_rss_mb")            row = row ", \"peak_rss_mb\": \"" $(i - 1) "\""
+    for (i = 4; i <= NF; i += 2) {
+        unit = $(i)
+        gsub("/", "_per_", unit)
+        row = row ", \"" unit "\": \"" $(i - 1) "\""
     }
     row = row "}"
     if (!first) printf ",\n"
@@ -119,15 +106,6 @@ echo "wrote BENCH_leakscan.json"
 # per-transport capture throughput (h1/h2/ws/doh flows per second).
 echo "$crawl_out" | emit_bench_json "CrawlScaling" > BENCH_crawl.json
 echo "wrote BENCH_crawl.json"
-
-echo "==> benchmark smoke: fabric scaling (visits/sec at 1/2/8 workers + worker-kill reclamation)"
-# The fabric baseline pins distributed throughput (8 workers must hold
-# ≥3× the 1-worker visits/sec) and proves lease reclamation fires under
-# the scripted worker-kill topology (nonzero lease_reclaims).
-fabric_out=$(go test -run '^$' -bench FabricScaling -benchtime=1x ./internal/fabric/)
-echo "$fabric_out"
-echo "$fabric_out" | emit_bench_json "FabricScaling" > BENCH_fabric.json
-echo "wrote BENCH_fabric.json"
 
 echo "==> benchmark smoke: sink throughput (flows/sec into a slow sink, queue bound, allocs/op)"
 sink_out=$(go test -run '^$' -bench SinkThroughput -benchmem -benchtime=1x ./internal/sink/)
